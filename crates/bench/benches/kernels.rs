@@ -1,16 +1,18 @@
 //! Codec-kernel microbench: the recorded numbers behind the word-level
 //! rewrite of the slow codec kernels. Measures the blocked 8x8 bitshuffle
 //! transpose (forward and inverse) against the retained bit-granular
-//! `bitshuffle::reference`, and the word-at-a-time lz77 hash-chain match
-//! finder against `lz77::reference`, on bitshuffle-shaped inputs. The
-//! headline acceptance number is the worst gated speedup, which must stay
-//! ≥ 2x.
+//! `bitshuffle::reference`, the word-at-a-time lz77 hash-chain match
+//! finder against `lz77::reference`, on bitshuffle-shaped inputs, and the
+//! slicing-by-16 record CRC-32 against the byte-at-a-time
+//! `stream::reference::crc32`. The headline acceptance number is the worst
+//! gated speedup, which must stay ≥ 2x.
 //!
 //! Runs without the Criterion harness (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 
 use fcbench_codecs_cpu::bitshuffle;
+use fcbench_core::stream;
 use fcbench_entropy::lz77::{self, Lz77Config};
 use std::hint::black_box;
 use std::time::Instant;
@@ -147,6 +149,22 @@ fn bench_lz77(name: &'static str, input: &[u8], cfg: Lz77Config, reps: usize) ->
     )
 }
 
+fn bench_crc32(input: &[u8], reps: usize) -> Row {
+    let new_s = best_of(reps, || {
+        black_box(stream::crc32(black_box(input)));
+    });
+    let ref_s = best_of(reps, || {
+        black_box(stream::reference::crc32(black_box(input)));
+    });
+    Row {
+        name: "crc32 slicing-by-16",
+        new_s,
+        ref_s,
+        bytes: input.len() as u64,
+        gated: true,
+    }
+}
+
 fn main() {
     let elems = if quick() { 8192 } else { 65_536 };
     let reps = if quick() { 5 } else { 20 };
@@ -186,6 +204,10 @@ fn main() {
     let (c, d) = bench_lz77("lz77 compress fast", &shuffled, Lz77Config::fast(), reps);
     gate(&c);
     gate(&d);
+
+    // Every FCDB2 record is checksummed on write and on open, over chunk
+    // payloads of compressed float bytes.
+    gate(&bench_crc32(&shuffled, reps));
 
     println!("worst gated speedup: {worst_gated:.2}x (acceptance gate: >= 2x)");
     // The gate is real: the bench fails if a kernel regresses on any gated

@@ -12,17 +12,21 @@
 
 use crate::codecs::full_registry;
 use fcbench_core::pool::{PoolConfig, WorkerPool};
-use fcbench_core::FloatData;
+use fcbench_core::{Error, FloatData};
 use fcbench_datasets::{find, generate};
+use fcbench_serve::ServeConfig;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Snapshot schema identifier, bumped on layout changes (v2 added the
 /// FCDB2 `container` write/read section; v3 added the `env` block and the
 /// `serve` section with loopback request p50/p99 at several connection
-/// counts). Consumers diffing across PRs should key on this field —
-/// earlier snapshots simply lack the newer sections, so backfill-safe
-/// tooling treats a missing section as "not measured", never an error.
-pub const SCHEMA: &str = "fcbench-perf-v3";
+/// counts; v4 added `failed` and `failed_by_kind` to each serve row, whose
+/// `rps` counts successful requests only). Consumers diffing across PRs
+/// should key on this field — earlier snapshots simply lack the newer
+/// sections, so backfill-safe tooling treats a missing section as "not
+/// measured", never an error.
+pub const SCHEMA: &str = "fcbench-perf-v4";
 
 /// Datasets making up the corpus: one representative per domain, matching
 /// the `throughput` bench's selection.
@@ -164,14 +168,43 @@ pub const SERVE_BLOCK_ELEMS: usize = 1024;
 
 struct ServeRates {
     connections: usize,
-    /// Total COMPRESS requests served across all connections.
+    /// Total COMPRESS requests attempted across all connections.
     requests: usize,
+    /// Attempted requests that returned an error, by [`fail_kind`].
+    failed: BTreeMap<&'static str, usize>,
     /// Server-side request latency quantiles (`serve.request.compress`),
     /// read back over the wire via `STATS_V2`.
     p50_us: f64,
     p99_us: f64,
-    /// Aggregate requests per second over the measurement wall time.
+    /// Successful requests per second over the measurement wall time.
     rps: f64,
+}
+
+impl ServeRates {
+    fn failed_total(&self) -> usize {
+        self.failed.values().sum()
+    }
+}
+
+/// The kind a failed serve request is counted under. A socket deadline
+/// reaches the client as an `Io` error naming the OS condition, so
+/// timeouts are told apart by that message.
+fn fail_kind(err: &Error) -> &'static str {
+    match err {
+        Error::Busy { .. } => "busy",
+        Error::Io(msg) => {
+            let msg = msg.to_ascii_lowercase();
+            if ["timed out", "temporarily unavailable", "would block"]
+                .iter()
+                .any(|m| msg.contains(m))
+            {
+                "timeout"
+            } else {
+                "io"
+            }
+        }
+        _ => "refused",
+    }
 }
 
 /// Drive a loopback `FCS1` server at each connection count and read the
@@ -184,21 +217,27 @@ fn measure_serve(elems: usize, reps: usize) -> Vec<ServeRates> {
     let per_client = reps.clamp(1, 8);
     SERVE_CONNECTIONS
         .iter()
-        .map(|&conns| serve_round(conns, &data, per_client))
+        .map(|&conns| serve_round(conns, &data, per_client, ServeConfig::default()))
         .collect()
 }
 
 /// One serve-bench round: fresh server and pool, `conns` concurrent
 /// clients issuing `per_client` COMPRESS requests each, quantiles from
-/// the server's own histograms.
-fn serve_round(conns: usize, data: &FloatData, per_client: usize) -> ServeRates {
-    use fcbench_serve::{Client, ServeConfig, Server};
+/// the server's own histograms. A request that fails (a client timeout,
+/// a shed or refused request, a connection that could not open) is
+/// counted in the row by kind rather than aborting the snapshot.
+fn serve_round(
+    conns: usize,
+    data: &FloatData,
+    per_client: usize,
+    config: ServeConfig,
+) -> ServeRates {
+    use fcbench_serve::{Client, Server};
     use std::sync::Arc;
 
     let registry = Arc::new(full_registry());
     let pool = Arc::new(WorkerPool::new(PoolConfig::for_host()));
-    let server =
-        Server::bind("127.0.0.1:0", registry, pool, ServeConfig::default()).expect("bind loopback");
+    let server = Server::bind("127.0.0.1:0", registry, pool, config).expect("bind loopback");
     let addr = server.local_addr();
     let running = server.spawn();
 
@@ -207,19 +246,29 @@ fn serve_round(conns: usize, data: &FloatData, per_client: usize) -> ServeRates 
         .map(|_| {
             let data = data.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for _ in 0..per_client {
-                    std::hint::black_box(
-                        client
-                            .compress(SERVE_CODEC, &data, SERVE_BLOCK_ELEMS)
-                            .expect("serve compress"),
-                    );
+                let mut failed = BTreeMap::new();
+                match Client::connect(addr) {
+                    Ok(mut client) => {
+                        for _ in 0..per_client {
+                            match client.compress(SERVE_CODEC, &data, SERVE_BLOCK_ELEMS) {
+                                Ok(stream) => {
+                                    std::hint::black_box(stream);
+                                }
+                                Err(e) => *failed.entry(fail_kind(&e)).or_insert(0) += 1,
+                            }
+                        }
+                    }
+                    Err(e) => *failed.entry(fail_kind(&e)).or_insert(0) += per_client,
                 }
+                failed
             })
         })
         .collect();
+    let mut failed = BTreeMap::new();
     for w in workers {
-        w.join().expect("serve client thread");
+        for (kind, n) in w.join().expect("serve client thread") {
+            *failed.entry(kind).or_insert(0) += n;
+        }
     }
     let wall = t.elapsed().as_secs_f64();
 
@@ -229,13 +278,17 @@ fn serve_round(conns: usize, data: &FloatData, per_client: usize) -> ServeRates 
         .histogram("serve.request.compress")
         .expect("compress latency histogram");
     let requests = conns * per_client;
-    assert_eq!(hist.count() as usize, requests, "every request was timed");
+    let ok = requests - failed.values().sum::<usize>();
+    if ok == requests {
+        assert_eq!(hist.count() as usize, requests, "every request was timed");
+    }
     let row = ServeRates {
         connections: conns,
         requests,
+        failed,
         p50_us: hist.p50() as f64 / 1e3,
         p99_us: hist.p99() as f64 / 1e3,
-        rps: requests as f64 / wall.max(f64::EPSILON),
+        rps: ok as f64 / wall.max(f64::EPSILON),
     };
     drop(admin);
     running.shutdown().expect("serve shutdown");
@@ -300,9 +353,15 @@ fn render(
     ));
     for (i, r) in serve.iter().enumerate() {
         let comma = if i + 1 == serve.len() { "" } else { "," };
+        let by_kind = r
+            .failed
+            .iter()
+            .map(|(kind, n)| format!("\"{kind}\": {n}"))
+            .collect::<Vec<_>>()
+            .join(", ");
         s.push_str(&format!(
-            "      {{\"connections\": {}, \"requests\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"rps\": {:.0}}}{comma}\n",
-            r.connections, r.requests, r.p50_us, r.p99_us, r.rps
+            "      {{\"connections\": {}, \"requests\": {}, \"failed\": {}, \"failed_by_kind\": {{{by_kind}}}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"rps\": {:.0}}}{comma}\n",
+            r.connections, r.requests, r.failed_total(), r.p50_us, r.p99_us, r.rps
         ));
     }
     s.push_str("    ]\n  }\n}\n");
@@ -346,6 +405,7 @@ mod tests {
         let serve = vec![ServeRates {
             connections: 1,
             requests: 2,
+            failed: BTreeMap::from([("timeout", 1)]),
             p50_us: 120.0,
             p99_us: 450.0,
             rps: 1000.0,
@@ -358,11 +418,12 @@ mod tests {
             json.matches('}').count(),
             "unbalanced braces"
         );
-        assert!(json.contains("\"schema\": \"fcbench-perf-v3\""));
+        assert!(json.contains("\"schema\": \"fcbench-perf-v4\""));
         assert!(json.contains("\"env\""));
         assert!(json.contains("\"threads\""));
         assert!(json.contains("\"serve\""));
         assert!(json.contains("\"p99_us\": 450.0"));
+        assert!(json.contains("\"failed\": 1, \"failed_by_kind\": {\"timeout\": 1}"));
         for r in &rows {
             assert!(json.contains(&format!("\"{}\"", r.name)));
             assert!(r.compress_mb_s.is_finite() && r.compress_mb_s > 0.0);
@@ -379,11 +440,29 @@ mod tests {
     #[test]
     fn serve_round_quantiles_come_from_the_server_histogram() {
         let data = generate(&find("citytemp").expect("catalog dataset"), 256);
-        let row = serve_round(2, &data, 2);
+        let row = serve_round(2, &data, 2, ServeConfig::default());
         assert_eq!(row.connections, 2);
         assert_eq!(row.requests, 4);
+        assert_eq!(row.failed_total(), 0);
         assert!(row.p50_us > 0.0, "server timed the requests");
         assert!(row.p99_us >= row.p50_us);
         assert!(row.rps.is_finite() && row.rps > 0.0);
+    }
+
+    #[test]
+    fn serve_round_counts_refused_requests_instead_of_panicking() {
+        let data = generate(&find("citytemp").expect("catalog dataset"), 256);
+        // Every request is larger than the server accepts.
+        let config = ServeConfig {
+            max_request_bytes: data.bytes().len() - 1,
+            ..ServeConfig::default()
+        };
+        let row = serve_round(2, &data, 3, config);
+        assert_eq!(row.requests, 6);
+        assert_eq!(row.failed_total(), 6);
+        assert_eq!(row.failed.get("refused"), Some(&6));
+        assert_eq!(row.rps, 0.0, "rps counts successful requests only");
+        let json = render(8, 256, 1, &[], &[], &[row]);
+        assert!(json.contains("\"failed\": 6, \"failed_by_kind\": {\"refused\": 6}"));
     }
 }

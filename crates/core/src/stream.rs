@@ -95,8 +95,10 @@ const MAX_UPFRONT_RESERVE: usize = 16 * 1024 * 1024;
 // container-specific: any append-style file format in the workspace can use
 // them.
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table, built
-/// at compile time so the hasher has no runtime setup and no allocation.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) byte lookup table,
+/// built at compile time so the hasher has no runtime setup and no
+/// allocation. It drives the byte-at-a-time tail of [`Crc32::update`] and
+/// [`reference::crc32`], and is row 0 of [`CRC32_SLICES`].
 const CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -117,7 +119,40 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// Incremental CRC-32 (IEEE) hasher over byte slices.
+/// Slicing-by-16 tables, also built at compile time (16 KiB, L1-resident):
+/// `CRC32_SLICES[k][b]` is the CRC state contributed by byte `b` followed
+/// by `k` zero bytes, so one 16-byte block folds in with 16 independent
+/// lookups instead of a 16-step dependency chain.
+const CRC32_SLICES: [[u32; 256]; 16] = {
+    let mut slices = [[0u32; 256]; 16];
+    slices[0] = CRC32_TABLE;
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ CRC32_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
+/// Fold `bytes` into the raw CRC state `s` one byte at a time.
+fn fold_bytes(mut s: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        s = CRC32_TABLE[((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+    }
+    s
+}
+
+/// Incremental CRC-32/IEEE hasher over byte slices (reflected polynomial
+/// 0xEDB88320, init and final XOR 0xFFFFFFFF — the zlib/PNG checksum).
+/// [`update`](Crc32::update) runs slicing-by-16: 16 bytes per step through
+/// 16 lookup tables built at compile time, with the leftover bytes folded
+/// one at a time. Values are identical to the byte-at-a-time
+/// [`reference::crc32`].
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
@@ -130,11 +165,32 @@ impl Crc32 {
 
     /// Fold `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_SLICES;
         let mut s = self.state;
-        for &b in bytes {
-            s = CRC32_TABLE[((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+        let mut blocks = bytes.chunks_exact(16);
+        for c in &mut blocks {
+            // The first four bytes absorb the running state; every byte
+            // then indexes the table for its distance from the block end.
+            let x = s.to_le_bytes();
+            let at = |i: usize| usize::from(c[i]);
+            s = t[15][usize::from(c[0] ^ x[0])]
+                ^ t[14][usize::from(c[1] ^ x[1])]
+                ^ t[13][usize::from(c[2] ^ x[2])]
+                ^ t[12][usize::from(c[3] ^ x[3])]
+                ^ t[11][at(4)]
+                ^ t[10][at(5)]
+                ^ t[9][at(6)]
+                ^ t[8][at(7)]
+                ^ t[7][at(8)]
+                ^ t[6][at(9)]
+                ^ t[5][at(10)]
+                ^ t[4][at(11)]
+                ^ t[3][at(12)]
+                ^ t[2][at(13)]
+                ^ t[1][at(14)]
+                ^ t[0][at(15)];
         }
-        self.state = s;
+        self.state = fold_bytes(s, blocks.remainder());
     }
 
     /// The checksum of everything folded in so far (the hasher stays usable).
@@ -154,6 +210,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(bytes);
     h.finish()
+}
+
+/// The byte-at-a-time CRC-32 that [`Crc32`]'s slicing-by-16 loop replaced.
+///
+/// Retained so differential tests can prove the fast hasher returns the same
+/// checksum for every input, as `bitshuffle::reference` and
+/// `lz77::reference` do for their kernels. Not used on any production path.
+pub mod reference {
+    /// One-shot CRC-32/IEEE of `bytes`, one table lookup per byte.
+    pub fn crc32(bytes: &[u8]) -> u32 {
+        super::fold_bytes(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+    }
 }
 
 /// Framing bytes around a record body: 1 tag + 8 length + 4 checksum.
@@ -1077,9 +1145,11 @@ mod tests {
 
     #[test]
     fn crc32_matches_the_reference_vector() {
-        // The classic IEEE check value.
+        // The classic IEEE check value, from both implementations.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(reference::crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(reference::crc32(b""), 0);
         // Incremental hashing agrees with one-shot, however the input splits.
         let data: Vec<u8> = (0..=255).collect();
         let whole = crc32(&data);
@@ -1088,6 +1158,43 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finish(), whole, "split {split}");
+        }
+    }
+
+    #[test]
+    fn slicing_crc_matches_the_reference_at_every_length_and_offset() {
+        // Every length across several 16-byte blocks plus every tail, at
+        // every alignment of the block loop relative to the allocation.
+        let mut rng = crate::fault::Rng::new(0x00C0_FFEE);
+        let buf: Vec<u8> = (0..316).map(|_| rng.next_u64().to_le_bytes()[0]).collect();
+        for start in 0..16 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    reference::crc32(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn incremental_crc_matches_one_shot_across_any_split(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            a in 0usize..601,
+            b in 0usize..601,
+        ) {
+            let (lo, hi) = (a.min(b).min(data.len()), a.max(b).min(data.len()));
+            let mut h = Crc32::new();
+            h.update(&data[..lo]);
+            h.update(&data[lo..hi]);
+            h.update(&data[hi..]);
+            proptest::prop_assert_eq!(h.finish(), reference::crc32(&data));
+            proptest::prop_assert_eq!(crc32(&data), reference::crc32(&data));
         }
     }
 

@@ -133,6 +133,7 @@ mod tests {
 
     #[test]
     fn primitives_are_measured_and_consistent() {
+        let _registry = crate::metrics::serial();
         let path = std::env::temp_dir().join(format!("fcbench-bench3-{}", std::process::id()));
         let a: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64).collect();
         let cols = vec![ColumnData::from_f64("a", &a)];
@@ -150,6 +151,7 @@ mod tests {
     #[test]
     fn pooled_primitives_agree_with_inline() {
         use fcbench_core::pool::{PoolConfig, WorkerPool};
+        let _registry = crate::metrics::serial();
         let p1 = std::env::temp_dir().join(format!("fcbench-bench3p-{}", std::process::id()));
         let a: Vec<f64> = (0..5_000).map(|i| (i % 100) as f64).collect();
         let cols = vec![ColumnData::from_f64("a", &a)];

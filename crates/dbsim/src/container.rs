@@ -1485,6 +1485,7 @@ mod tests {
 
     #[test]
     fn pooled_container_matches_inline_bytes_and_round_trips() {
+        let _registry = crate::metrics::serial();
         let inline_path = tmp("pool-a");
         let pooled_path = tmp("pool-b");
         let a: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -1519,8 +1520,10 @@ mod tests {
 
     #[test]
     fn telemetry_counts_commits_and_recovery_outcomes() {
-        // The registry is process-wide and shared with every other test in
-        // this binary, so assert on deltas, not absolute values.
+        let _registry = crate::metrics::serial();
+        // The registry is process-wide, so assert on deltas, not absolute
+        // values; `serial()` keeps the other registry-writing tests in this
+        // binary from landing between the two snapshots.
         let reg = crate::metrics::registry();
         let before = reg.snapshot();
         let c = |s: &fcbench_telemetry::Snapshot, n: &str| s.counter(n).unwrap_or(0);
@@ -1556,6 +1559,7 @@ mod tests {
 
     #[test]
     fn container_round_trip() {
+        let _registry = crate::metrics::serial();
         let path = tmp("rt");
         let a: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
         let b: Vec<f32> = (0..500).map(|i| i as f32).collect();
@@ -1584,6 +1588,7 @@ mod tests {
 
     #[test]
     fn ragged_last_chunk() {
+        let _registry = crate::metrics::serial();
         let path = tmp("ragged");
         let a: Vec<f64> = (0..130).map(|i| i as f64).collect();
         write_container(&path, &StoreCodec, &[ColumnData::from_f64("x", &a)], 64).unwrap();
@@ -1596,6 +1601,7 @@ mod tests {
 
     #[test]
     fn incremental_writes_and_commits_append() {
+        let _registry = crate::metrics::serial();
         // Feed a column in dribbles across chunk boundaries, commit, then
         // append a second column and commit again: the trailing commit
         // sees both.
@@ -1637,6 +1643,7 @@ mod tests {
 
     #[test]
     fn torn_tails_recover_and_committed_corruption_errors() {
+        let _registry = crate::metrics::serial();
         let path = tmp("torn");
         let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
         write_container(&path, &StoreCodec, &[ColumnData::from_f64("x", &a)], 32).unwrap();
@@ -1689,6 +1696,7 @@ mod tests {
 
     #[test]
     fn writer_misuse_is_rejected() {
+        let _registry = crate::metrics::serial();
         let mut w = ContainerWriter::new(Vec::new(), ChunkExec::Inline(&StoreCodec)).unwrap();
         // No open column.
         assert!(matches!(w.write(&[0u8; 8]), Err(Error::Unsupported(_))));
@@ -1702,6 +1710,7 @@ mod tests {
 
     #[test]
     fn cursor_streams_pages_in_order_with_tiny_caps() {
+        let _registry = crate::metrics::serial();
         let path = tmp("cursor");
         let a: Vec<f64> = (0..1000).map(|i| (i as f64).sqrt()).collect();
         let cols = [ColumnData::from_f64("x", &a)];
@@ -1725,6 +1734,7 @@ mod tests {
 
     #[test]
     fn legacy_v1_files_read_and_upgrade() {
+        let _registry = crate::metrics::serial();
         let v1 = tmp("legacy-v1");
         let v2 = tmp("legacy-v2");
         let a: Vec<f64> = (0..300).map(|i| i as f64 * 1.5).collect();

@@ -32,6 +32,16 @@ pub mod metrics {
     pub fn registry() -> &'static Arc<Registry> {
         &REGISTRY
     }
+
+    /// Serializes this crate's tests that write to the registry, so a test
+    /// asserting exact counter deltas sees only its own traffic. Hold the
+    /// guard for the whole test; a panicked holder does not poison it.
+    #[cfg(test)]
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 pub use bench3::{measure_three_primitives, measure_three_primitives_pooled, ThreePrimitives};

@@ -7,7 +7,10 @@
 
 use fcbench::core::pool::{PoolConfig, WorkerPool};
 use fcbench::core::stream::{crc32, put_record, take_record};
-use fcbench::core::{Compressor, Precision};
+use fcbench::core::{
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
+};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{
     legacy, parse_container, read_container, upgrade_container, ChunkExec, ColumnData,
@@ -441,4 +444,75 @@ fn legacy_containers_read_and_upgrade() {
     }
     std::fs::remove_file(&v1).ok();
     std::fs::remove_file(&v2).ok();
+}
+
+/// Identity codec: chunk payloads are the raw element bytes, so the golden
+/// image below pins the framing and checksums, not a codec's output.
+struct StoreCodec;
+
+impl Compressor for StoreCodec {
+    fn info(&self) -> CodecInfo {
+        CodecInfo {
+            name: "store",
+            year: 2024,
+            community: Community::General,
+            class: CodecClass::Delta,
+            platform: Platform::Cpu,
+            parallel: false,
+            precisions: PrecisionSupport::Both,
+        }
+    }
+    fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
+        Ok(data.bytes().to_vec())
+    }
+    fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
+        FloatData::from_bytes(desc.clone(), payload.to_vec())
+    }
+}
+
+/// The exact bytes of the container built in
+/// `fcdb2_bytes_match_the_golden_image`, captured from the byte-at-a-time
+/// CRC-32. Any change to the framing, the directory or the checksum
+/// algorithm shows up here as a byte diff.
+const GOLDEN_FCDB2: &str = concat!(
+    "464344320573746f7265e666a26c01070000000000000001610004000000c2956f330214",
+    "0000000000000004000000000000000000003f0000803f0000c03f6c77eb2f0214000000",
+    "000000000400000000000040000020400000404000006040fd50f6f6020c000000000000",
+    "0002000000000080400000904099e013db035300000000000000010000000161000a0000",
+    "000000000004000000030000002200000000000000100000000000000004000000430000",
+    "000000000010000000000000000400000064000000000000000800000000000000020000",
+    "007db17a1d464332437d0000000000000017426d57010700000000000000016201040000",
+    "00dcce9b880224000000000000000400000000000000000059400000000000f058400000",
+    "000000e058400000000000d058406a10590e021c00000000000000030000000000000000",
+    "c058400000000000b058400000000000a05840b57813aa038e0000000000000002000000",
+    "0161000a0000000000000004000000030000002200000000000000100000000000000004",
+    "000000430000000000000010000000000000000400000064000000000000000800000000",
+    "000000020000000162010700000000000000040000000200000001010000000000002000",
+    "000000000000040000003201000000000000180000000000000003000000a22908c64643",
+    "32435b01000000000000722203ce",
+);
+
+fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn fcdb2_bytes_match_the_golden_image() {
+    let codec = StoreCodec;
+    let mut w = ContainerWriter::new(Vec::new(), ChunkExec::Inline(&codec)).expect("prologue");
+    let a: Vec<f32> = (0..10).map(|i| i as f32 * 0.5).collect();
+    let b: Vec<f64> = (0..7).map(|i| 100.0 - i as f64 * 0.25).collect();
+    w.begin_column("a", Precision::Single, 4).expect("column a");
+    w.write(&ColumnData::from_f32("a", &a).bytes)
+        .expect("write a");
+    w.commit().expect("commit a");
+    w.begin_column("b", Precision::Double, 4).expect("column b");
+    w.write(&ColumnData::from_f64("b", &b).bytes)
+        .expect("write b");
+    let bytes = w.finish().expect("finish");
+
+    assert_eq!(to_hex(&bytes), GOLDEN_FCDB2, "FCDB2 on-disk bytes changed");
+    let read = parse_container(&bytes).expect("golden image parses");
+    assert_eq!(read.outcome, RecoveryOutcome::Clean);
+    assert_eq!(read.table.columns.len(), 2);
 }
