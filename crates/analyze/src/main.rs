@@ -10,7 +10,8 @@
 //!
 //! `lint` exits non-zero on any finding not covered by the committed
 //! allowlist. `check-pool` explores every schedule of each scenario within
-//! the preemption bound and exits non-zero on a counterexample, printing
+//! its preemption bound (`--preemptions` overrides every scenario's own)
+//! and exits non-zero on a counterexample, printing
 //! the `mc1:…` seed that replays it deterministically (and writing it to
 //! `--seed-out`, which CI uploads as an artifact).
 
@@ -79,10 +80,10 @@ fn cmd_check_pool(args: &[&str]) -> ExitCode {
     let only = take_opt(args, "--scenario");
     let replay_seed = take_opt(args, "--replay");
     let seed_out = take_opt(args, "--seed-out").map(PathBuf::from);
-    let preemptions: u32 = match take_opt(args, "--preemptions").as_deref() {
-        None => 2,
+    let preemptions: Option<u32> = match take_opt(args, "--preemptions").as_deref() {
+        None => None,
         Some(s) => match s.parse() {
-            Ok(n) => n,
+            Ok(n) => Some(n),
             Err(_) => return usage_err(&format!("--preemptions {s:?} is not a number")),
         },
     };
@@ -118,6 +119,7 @@ fn cmd_check_pool(args: &[&str]) -> ExitCode {
 
     let mut failed = false;
     for s in list {
+        let preemptions = preemptions.unwrap_or(s.preemptions);
         let mut opts = model::ExploreOpts {
             preemption_bound: preemptions,
             max_executions: max_schedules,

@@ -18,8 +18,8 @@
 
 use fcbench_core::sync::{lock, wait, Condvar, Mutex};
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, Error, FloatData, Platform,
-    PoolConfig, PrecisionSupport, Result, WorkerPool,
+    BlockLane, CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, Error, FloatData,
+    Platform, PoolConfig, PrecisionSupport, Result, WorkerPool,
 };
 use fcbench_dbsim::CompressedColumn;
 use std::sync::Arc;
@@ -31,6 +31,9 @@ pub struct Scenario {
     pub run: fn(),
     /// The checker is expected to find a failure (self-test scenarios).
     pub expect_failure: bool,
+    /// Preemption bound `check-pool` explores this scenario within, unless
+    /// `--preemptions` overrides it.
+    pub preemptions: u32,
 }
 
 /// Every registered scenario, in documentation order.
@@ -42,6 +45,7 @@ pub fn all() -> Vec<Scenario> {
                     jobs_completed must equal 2 on every schedule",
             run: pool_submit_shutdown,
             expect_failure: false,
+            preemptions: 2,
         },
         Scenario {
             name: "pool-worker-panic",
@@ -49,6 +53,7 @@ pub fn all() -> Vec<Scenario> {
                     and the pool keeps serving (the poison-policy regression)",
             run: pool_worker_panic,
             expect_failure: false,
+            preemptions: 2,
         },
         Scenario {
             name: "pool-try-submit-drain",
@@ -56,6 +61,7 @@ pub fn all() -> Vec<Scenario> {
                     drain quiesces with tickets outstanding",
             run: pool_try_submit_drain,
             expect_failure: false,
+            preemptions: 2,
         },
         Scenario {
             name: "pool-abandon",
@@ -63,6 +69,16 @@ pub fn all() -> Vec<Scenario> {
                     accounting still balances",
             run: pool_abandon,
             expect_failure: false,
+            preemptions: 2,
+        },
+        Scenario {
+            name: "lane-shared-saturation",
+            about: "two BlockLanes on separate threads share a 1-worker / 2-slot pool, \
+                    each pushing 3 jobs under saturation: outputs arrive in order and \
+                    pool.slots.occupied ends at 0",
+            run: lane_shared_saturation,
+            expect_failure: false,
+            preemptions: 1,
         },
         Scenario {
             name: "cursor-read-ahead",
@@ -70,6 +86,7 @@ pub fn all() -> Vec<Scenario> {
                     in order while sharing the engine",
             run: cursor_read_ahead,
             expect_failure: false,
+            preemptions: 2,
         },
         Scenario {
             name: "toy-missed-notify",
@@ -77,6 +94,7 @@ pub fn all() -> Vec<Scenario> {
                     section that waits — the notify can land in the window and be lost",
             run: toy_missed_notify,
             expect_failure: true,
+            preemptions: 2,
         },
         Scenario {
             name: "toy-fixed-notify",
@@ -84,6 +102,7 @@ pub fn all() -> Vec<Scenario> {
                     while-wait loop under one guard",
             run: toy_fixed_notify,
             expect_failure: false,
+            preemptions: 2,
         },
     ]
 }
@@ -225,6 +244,52 @@ fn pool_abandon() {
         pool.jobs_completed(),
         2,
         "abandoned jobs still count as completed work"
+    );
+}
+
+fn lane_shared_saturation() {
+    let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2)));
+    let spawn_lane = |first: f64| {
+        let pool = Arc::clone(&pool);
+        let lane_thread = fcbench_core::sync::thread::Builder::new()
+            .name("mc-lane".into())
+            .spawn(move || {
+                let jobs: Vec<FloatData> = (0..3)
+                    .map(|i| {
+                        must(FloatData::from_f64(
+                            &[first + f64::from(i)],
+                            vec![1],
+                            Domain::Hpc,
+                        ))
+                    })
+                    .collect();
+                let mut lane = BlockLane::new(&*pool, Arc::new(StoreCodec));
+                let mut seen = Vec::new();
+                let mut emit = |(), p: &[u8]| {
+                    seen.push(p.to_vec());
+                    Ok(())
+                };
+                for job in &jobs {
+                    must(lane.submit_compress(job.desc(), job.bytes(), (), &mut emit));
+                }
+                must(lane.finish(&mut emit));
+                let want: Vec<Vec<u8>> = jobs.iter().map(|j| j.bytes().to_vec()).collect();
+                assert_eq!(seen, want, "a lane must emit its jobs in submission order");
+            });
+        match lane_thread {
+            Ok(h) => h,
+            Err(e) => panic!("spawn lane: {e}"),
+        }
+    };
+    let a = spawn_lane(0.0);
+    let b = spawn_lane(10.0);
+    let _ = a.join();
+    let _ = b.join();
+    pool.drain();
+    assert_eq!(
+        pool.telemetry().snapshot().gauge("pool.slots.occupied"),
+        Some(0),
+        "every slot must be recycled"
     );
 }
 

@@ -67,7 +67,7 @@ pub use data::{DataDesc, Domain, FloatData, Precision};
 pub use error::{Error, Result};
 pub use metrics::Measurement;
 pub use pipeline::Pipeline;
-pub use pool::{PoolConfig, Ticket, WorkerPool};
+pub use pool::{BlockLane, PoolConfig, Ticket, WorkerPool};
 pub use registry::{CodecRegistry, RegistryEntry};
 pub use runner::{run_cell, run_matrix, CellOutcome, NamedData, RunConfig, RunMatrix};
 pub use stream::{FrameReader, FrameWriter};

@@ -59,9 +59,8 @@ use crate::codec::Compressor;
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
 use crate::frame::{decode_chunked_frame, encode_chunked_frame_parts_into};
-use crate::pool::{PoolConfig, Ticket, WorkerPool};
+use crate::pool::{BlockLane, PoolConfig, WorkerPool};
 use crate::registry::CodecRegistry;
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 /// Default elements per block: 64 Ki elements, the paper's bitshuffle/nvCOMP
@@ -204,67 +203,26 @@ impl Pipeline {
             );
         };
 
-        // Engine path: feed blocks to the persistent pool, collecting
-        // completed payloads in submission order so the queue stays at most
-        // `queue_depth` deep. Workers reuse warm slot buffers; this loop
-        // owns only the (lens, blob) accumulator the frame is built from.
-        // `submit_compress_draining` applies the saturation discipline:
-        // when the pool is full, the drain closure collects our own oldest
-        // block instead of blocking with tickets in hand.
+        // Engine path: blocks go through a lane on the persistent pool and
+        // come back in order into the (lens, blob) accumulator.
         let mut lens: Vec<usize> = Vec::with_capacity(nblocks);
         let mut blob: Vec<u8> = Vec::new();
-        let mut pending: VecDeque<Ticket> = VecDeque::with_capacity(pool.queue_depth());
-        let mut first_err: Option<Error> = None;
+        let mut emit = |(), payload: &[u8]| {
+            lens.push(payload.len());
+            blob.extend_from_slice(payload);
+            Ok(())
+        };
+        let mut lane = BlockLane::new(&**pool, Arc::clone(&self.codec));
         let mut bdesc = DataDesc {
             precision: desc.precision,
             dims: vec![0],
             domain: desc.domain,
         };
-
-        /// Collect the oldest in-flight block into (lens, blob); `false`
-        /// when nothing is in flight.
-        fn collect_front(
-            pending: &mut VecDeque<Ticket>,
-            lens: &mut Vec<usize>,
-            blob: &mut Vec<u8>,
-        ) -> Result<bool> {
-            let Some(ticket) = pending.pop_front() else {
-                return Ok(false);
-            };
-            let n = ticket.collect(|payload| {
-                blob.extend_from_slice(payload);
-                payload.len()
-            })?;
-            lens.push(n);
-            Ok(true)
+        for block in bytes.chunks(bpb) {
+            bdesc.dims[0] = block.len() / esize;
+            lane.submit_compress(&bdesc, block, (), &mut emit)?;
         }
-
-        for i in 0..nblocks {
-            let start = i * bpb;
-            let end = (start + bpb).min(bytes.len());
-            bdesc.dims[0] = (end - start) / esize;
-            let block = &bytes[start..end];
-            let submitted = pool.submit_compress_draining(&self.codec, &bdesc, block, || {
-                collect_front(&mut pending, &mut lens, &mut blob)
-            });
-            match submitted {
-                Ok(t) => pending.push_back(t),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Always empty the queue — outstanding slots must be recycled even
-        // after an error (their results are discarded past the first error).
-        while !pending.is_empty() {
-            if let Err(e) = collect_front(&mut pending, &mut lens, &mut blob) {
-                let _ = first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        lane.finish(emit)?;
         encode_chunked_frame_parts_into(
             self.codec.info().name,
             desc,
@@ -326,50 +284,23 @@ impl Pipeline {
             };
 
             // Engine path: workers decode blocks concurrently (each gated
-            // for plausibility and size-checked); collection in submission
-            // order reassembles the stream, with the same saturation
-            // discipline as the compress path.
-            let mut pending: VecDeque<Ticket> = VecDeque::with_capacity(pool.queue_depth());
-            let mut first_err: Option<Error> = None;
+            // for plausibility and size-checked); the lane hands them back
+            // in stream order.
+            let mut emit = |(), decoded: &[u8]| {
+                bytes.extend_from_slice(decoded);
+                Ok(())
+            };
+            let mut lane = BlockLane::new(&**pool, Arc::clone(&self.codec));
             let mut bdesc = DataDesc {
                 precision: desc.precision,
                 dims: vec![0],
                 domain: desc.domain,
             };
-
-            /// Append the oldest in-flight decoded block; `false` when
-            /// nothing is in flight.
-            fn collect_front(pending: &mut VecDeque<Ticket>, bytes: &mut Vec<u8>) -> Result<bool> {
-                let Some(ticket) = pending.pop_front() else {
-                    return Ok(false);
-                };
-                ticket.collect(|decoded| bytes.extend_from_slice(decoded))?;
-                Ok(true)
-            }
-
             for (i, payload) in frame.payloads.iter().enumerate() {
                 bdesc.dims[0] = frame.block_len(i);
-                let submitted =
-                    pool.submit_decompress_draining(&self.codec, &bdesc, payload, || {
-                        collect_front(&mut pending, bytes)
-                    });
-                match submitted {
-                    Ok(t) => pending.push_back(t),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
+                lane.submit_decompress(&bdesc, payload, (), &mut emit)?;
             }
-            while !pending.is_empty() {
-                if let Err(e) = collect_front(&mut pending, bytes) {
-                    let _ = first_err.get_or_insert(e);
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            lane.finish(emit)
         })
     }
 

@@ -77,6 +77,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
+mod lane;
+pub use lane::BlockLane;
+
 /// Configuration of a [`WorkerPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
@@ -468,14 +471,8 @@ impl WorkerPool {
         &self.shared.metrics.registry
     }
 
-    /// Acquire a free slot, blocking while all are in flight.
-    ///
-    /// Deadlock discipline: a caller that already holds uncollected
-    /// [`Ticket`]s must not block here — with every slot pinned by ticket
-    /// holders, nobody would ever free one. The pipelined consumers
-    /// (pipeline, frame streams, containers) therefore use the
-    /// `try_submit_*` forms and collect their own oldest job when the pool
-    /// is saturated, only blocking when they hold nothing.
+    /// Acquire a free slot, blocking while all are in flight. A caller that
+    /// holds uncollected tickets must not block here (see [`BlockLane`]).
     fn acquire_slot(&self) -> Result<usize> {
         let mut inner = lock(&self.shared.inner);
         loop {
@@ -514,91 +511,87 @@ impl WorkerPool {
         self.shared.free.notify_all();
     }
 
-    /// Enqueue the filled slot `idx` and wake a worker.
-    fn enqueue(&self, idx: usize) {
-        let mut inner = lock(&self.shared.inner);
-        inner.states[idx] = JobState::Pending { abandoned: false };
-        inner.queue.push_back(idx);
-        inner.unfinished += 1;
-        drop(inner);
-        self.shared.work.notify_one();
-    }
-
-    /// Fill acquired slot `idx` with a compress job and enqueue it.
-    fn dispatch_compress(
-        &self,
-        idx: usize,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        bytes: &[u8],
-    ) -> Result<Ticket> {
-        {
-            let mut guard = lock(&self.shared.slots[idx]);
-            let slot = &mut *guard;
-            slot.kind = JobKind::Compress;
-            slot.codec = Some(Arc::clone(codec));
-            slot.set_desc(desc);
-            if let Err(e) = slot.data.refill_from_slice(&slot.desc, bytes) {
-                drop(guard);
-                self.release_unused_slot(idx);
-                return Err(e);
-            }
-            slot.enqueued_at = Some(Instant::now());
-        }
-        self.enqueue(idx);
-        Ok(Ticket::new(Arc::clone(&self.shared), idx))
-    }
-
-    /// Fill acquired slot `idx` with a decompress job and enqueue it.
-    fn dispatch_decompress(
-        &self,
-        idx: usize,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        payload: &[u8],
-    ) -> Result<Ticket> {
-        {
-            let mut slot = lock(&self.shared.slots[idx]);
-            slot.kind = JobKind::Decompress;
-            slot.codec = Some(Arc::clone(codec));
-            slot.set_desc(desc);
-            slot.buf.clear();
-            slot.buf.extend_from_slice(payload);
-            slot.enqueued_at = Some(Instant::now());
-        }
-        self.enqueue(idx);
-        Ok(Ticket::new(Arc::clone(&self.shared), idx))
-    }
-
-    fn check_compress_job(desc: &DataDesc, bytes: &[u8]) -> Result<()> {
-        if bytes.len() != desc.byte_len() {
+    /// The checks every submit runs before taking a slot: the `pool.submit`
+    /// fail point, and for compress jobs that `input` is exactly the
+    /// element bytes `desc` implies.
+    fn admit(kind: JobKind, desc: &DataDesc, input: &[u8]) -> Result<()> {
+        crate::fault::fail_point("pool.submit")?;
+        if kind == JobKind::Compress && input.len() != desc.byte_len() {
             return Err(Error::BadDescriptor(format!(
                 "job holds {} bytes but descriptor implies {}",
-                bytes.len(),
+                input.len(),
                 desc.byte_len()
             )));
         }
         Ok(())
     }
 
+    /// Fill acquired slot `idx` with a `kind` job over `input` (element
+    /// bytes to compress, or a payload to decompress) and enqueue it.
+    fn dispatch(
+        &self,
+        idx: usize,
+        kind: JobKind,
+        codec: &Arc<dyn Compressor>,
+        desc: &DataDesc,
+        input: &[u8],
+    ) -> Result<Ticket> {
+        {
+            let mut guard = lock(&self.shared.slots[idx]);
+            let slot = &mut *guard;
+            slot.kind = kind;
+            slot.codec = Some(Arc::clone(codec));
+            slot.set_desc(desc);
+            let filled = match kind {
+                JobKind::Compress => slot.data.refill_from_slice(&slot.desc, input),
+                JobKind::Decompress => {
+                    slot.buf.clear();
+                    slot.buf.extend_from_slice(input);
+                    Ok(())
+                }
+            };
+            if let Err(e) = filled {
+                drop(guard);
+                self.release_unused_slot(idx);
+                return Err(e);
+            }
+            slot.enqueued_at = Some(Instant::now());
+        }
+        let mut inner = lock(&self.shared.inner);
+        inner.states[idx] = JobState::Pending { abandoned: false };
+        inner.queue.push_back(idx);
+        inner.unfinished += 1;
+        drop(inner);
+        self.shared.work.notify_one();
+        Ok(Ticket::new(Arc::clone(&self.shared), idx))
+    }
+
+    /// Blocking submit: admit, wait for a slot, dispatch.
+    fn submit(
+        &self,
+        kind: JobKind,
+        codec: &Arc<dyn Compressor>,
+        desc: &DataDesc,
+        input: &[u8],
+    ) -> Result<Ticket> {
+        Self::admit(kind, desc, input)?;
+        let idx = self.acquire_slot()?;
+        self.dispatch(idx, kind, codec, desc, input)
+    }
+
     /// Submit a compression job over `bytes`, a little-endian element
     /// buffer shaped like `desc` (`bytes.len()` must equal
     /// `desc.byte_len()`). Blocks while every slot is in flight — callers
-    /// holding uncollected tickets should use
-    /// [`try_submit_compress`](Self::try_submit_compress) and drain their
-    /// own jobs instead. The
-    /// returned ticket's [`collect`](Ticket::collect) sees the compressed
-    /// payload.
+    /// that keep several jobs in flight go through a [`BlockLane`]
+    /// instead. The returned ticket's [`collect`](Ticket::collect) sees the
+    /// compressed payload.
     pub fn submit_compress(
         &self,
         codec: &Arc<dyn Compressor>,
         desc: &DataDesc,
         bytes: &[u8],
     ) -> Result<Ticket> {
-        crate::fault::fail_point("pool.submit")?;
-        Self::check_compress_job(desc, bytes)?;
-        let idx = self.acquire_slot()?;
-        self.dispatch_compress(idx, codec, desc, bytes)
+        self.submit(JobKind::Compress, codec, desc, bytes)
     }
 
     /// Non-blocking [`submit_compress`](Self::submit_compress): returns
@@ -609,10 +602,11 @@ impl WorkerPool {
         desc: &DataDesc,
         bytes: &[u8],
     ) -> Result<Option<Ticket>> {
-        crate::fault::fail_point("pool.submit")?;
-        Self::check_compress_job(desc, bytes)?;
+        Self::admit(JobKind::Compress, desc, bytes)?;
         match self.try_acquire_slot()? {
-            Some(idx) => Ok(Some(self.dispatch_compress(idx, codec, desc, bytes)?)),
+            Some(idx) => self
+                .dispatch(idx, JobKind::Compress, codec, desc, bytes)
+                .map(Some),
             None => Ok(None),
         }
     }
@@ -629,75 +623,7 @@ impl WorkerPool {
         desc: &DataDesc,
         payload: &[u8],
     ) -> Result<Ticket> {
-        crate::fault::fail_point("pool.submit")?;
-        let idx = self.acquire_slot()?;
-        self.dispatch_decompress(idx, codec, desc, payload)
-    }
-
-    /// Non-blocking [`submit_decompress`](Self::submit_decompress): returns
-    /// `Ok(None)` when every slot is in flight.
-    pub fn try_submit_decompress(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        payload: &[u8],
-    ) -> Result<Option<Ticket>> {
-        crate::fault::fail_point("pool.submit")?;
-        match self.try_acquire_slot()? {
-            Some(idx) => Ok(Some(self.dispatch_decompress(idx, codec, desc, payload)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// The saturation-discipline loop shared by every pipelined consumer:
-    /// try to take a slot; when the pool is saturated, ask the caller to
-    /// collect its own oldest job (`drain_own` returns `Ok(false)` when it
-    /// holds nothing, at which point blocking is safe — the slots are
-    /// pinned by other sessions, which will release them).
-    fn acquire_slot_draining(&self, mut drain_own: impl FnMut() -> Result<bool>) -> Result<usize> {
-        loop {
-            if let Some(idx) = self.try_acquire_slot()? {
-                return Ok(idx);
-            }
-            if !drain_own()? {
-                return self.acquire_slot();
-            }
-            self.shared.metrics.drain_stalls.inc();
-        }
-    }
-
-    /// [`submit_compress`](Self::submit_compress) for callers that hold
-    /// uncollected tickets: instead of ever blocking on a saturated pool
-    /// (a deadlock when every slot is pinned by ticket holders), calls
-    /// `drain_own` so the caller collects its own oldest job; `drain_own`
-    /// returns `Ok(false)` when the caller holds nothing, and only then
-    /// does the submit block.
-    pub fn submit_compress_draining(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        bytes: &[u8],
-        drain_own: impl FnMut() -> Result<bool>,
-    ) -> Result<Ticket> {
-        crate::fault::fail_point("pool.submit")?;
-        Self::check_compress_job(desc, bytes)?;
-        let idx = self.acquire_slot_draining(drain_own)?;
-        self.dispatch_compress(idx, codec, desc, bytes)
-    }
-
-    /// [`submit_decompress`](Self::submit_decompress) with the same
-    /// drain-own-oldest saturation discipline as
-    /// [`submit_compress_draining`](Self::submit_compress_draining).
-    pub fn submit_decompress_draining(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        payload: &[u8],
-        drain_own: impl FnMut() -> Result<bool>,
-    ) -> Result<Ticket> {
-        crate::fault::fail_point("pool.submit")?;
-        let idx = self.acquire_slot_draining(drain_own)?;
-        self.dispatch_decompress(idx, codec, desc, payload)
+        self.submit(JobKind::Decompress, codec, desc, payload)
     }
 
     /// Compress `data` through the pool as one job, replacing `out` with
@@ -1120,30 +1046,21 @@ mod tests {
     #[test]
     fn draining_submits_make_progress_on_a_saturated_pool() {
         let pool = WorkerPool::new(PoolConfig::with_threads(2).queue_depth(2));
-        let codec = arc(Store);
         let data = sample(32);
-        let mut pending: VecDeque<Ticket> = VecDeque::new();
+        let mut lane = BlockLane::new(&pool, arc(Store));
         let mut collected = 0usize;
-        for _ in 0..12 {
-            let t = pool
-                .submit_compress_draining(&codec, data.desc(), data.bytes(), || {
-                    match pending.pop_front() {
-                        None => Ok(false),
-                        Some(t) => {
-                            t.collect(|b| assert_eq!(b, data.bytes()))?;
-                            collected += 1;
-                            Ok(true)
-                        }
-                    }
-                })
-                .unwrap();
-            pending.push_back(t);
-        }
-        while let Some(t) = pending.pop_front() {
-            t.collect(|b| assert_eq!(b, data.bytes())).unwrap();
+        let mut emit = |(), b: &[u8]| {
+            assert_eq!(b, data.bytes());
             collected += 1;
+            Ok(())
+        };
+        for _ in 0..12 {
+            lane.submit_compress(data.desc(), data.bytes(), (), &mut emit)
+                .unwrap();
         }
+        lane.finish(&mut emit).unwrap();
         assert_eq!(collected, 12);
+        assert!(pool.telemetry().snapshot().counter("pool.drain.stalls") > Some(0));
     }
 
     #[test]

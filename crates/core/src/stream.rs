@@ -57,9 +57,7 @@ use crate::codec::Compressor;
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
 use crate::frame::{decode_stream_header, encode_stream_header};
-use crate::pool::{Ticket, WorkerPool};
-use fcbench_telemetry::{Counter, InflightGauge};
-use std::collections::VecDeque;
+use crate::pool::{BlockLane, WorkerPool};
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -305,18 +303,15 @@ pub fn take_record(bytes: &[u8], pos: usize) -> Option<RecordView<'_>> {
 pub struct FrameWriter<W: Write> {
     sink: W,
     codec: Arc<dyn Compressor>,
-    pool: Option<Arc<WorkerPool>>,
+    /// In-flight pool jobs (`None`: compress inline). Its share of the
+    /// pool-wide `stream.writer.blocks_in_flight` gauge is this writer's.
+    lane: Option<BlockLane<Arc<WorkerPool>>>,
     desc: DataDesc,
     esize: usize,
     /// Bytes per full block (saturating; at least one element).
     bpb: usize,
     /// Partial-block accumulator.
     buf: Vec<u8>,
-    /// In-flight pool jobs, in stream order.
-    pending: VecDeque<Ticket>,
-    /// Upper bound on `pending.len()` — how much of a shared pool this one
-    /// stream may pin. Defaults to the whole queue.
-    inflight_cap: usize,
     /// Reusable per-block descriptor.
     bdesc: DataDesc,
     /// Inline-mode scratch input container.
@@ -327,9 +322,14 @@ pub struct FrameWriter<W: Write> {
     consumed: usize,
     /// Bytes emitted to the sink so far.
     written: u64,
-    /// This writer's share of the pool-wide
-    /// `stream.writer.blocks_in_flight` gauge (no-op without a pool).
-    inflight: InflightGauge,
+}
+
+/// Write one block record (length, then payload) to `sink`.
+fn put_block<W: Write>(sink: &mut W, written: &mut u64, payload: &[u8]) -> Result<()> {
+    sink.write_all(&(payload.len() as u64).to_le_bytes())?;
+    sink.write_all(payload)?;
+    *written += 8 + payload.len() as u64;
+    Ok(())
 }
 
 impl<W: Write> FrameWriter<W> {
@@ -352,25 +352,23 @@ impl<W: Write> FrameWriter<W> {
             dims: vec![0],
             domain: desc.domain,
         };
-        let inflight = pool.as_ref().map_or_else(InflightGauge::detached, |p| {
-            InflightGauge::attached(p.telemetry().gauge("stream.writer.blocks_in_flight"))
+        let lane = pool.map(|p| {
+            let gauge = p.telemetry().gauge("stream.writer.blocks_in_flight");
+            BlockLane::new(p, Arc::clone(&codec)).in_flight_gauge(gauge)
         });
         Ok(FrameWriter {
             sink,
             codec,
-            pool,
+            lane,
             esize,
             bpb: block_elems.saturating_mul(esize),
             buf: Vec::new(),
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
             bdesc,
             scratch: FloatData::scratch(),
             payload: Vec::new(),
             consumed: 0,
             written: prologue.len() as u64,
             desc,
-            inflight,
         })
     }
 
@@ -381,7 +379,7 @@ impl<W: Write> FrameWriter<W> {
     /// Inline writers (no pool) ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.lane = self.lane.map(|lane| lane.max_in_flight(cap));
         self
     }
 
@@ -399,20 +397,9 @@ impl<W: Write> FrameWriter<W> {
     /// any size (they need not align with blocks or even elements); full
     /// blocks are compressed and their records emitted as they form.
     ///
-    /// On error the writer abandons its in-flight jobs (releasing their
-    /// pool slots immediately) and the stream is unusable; drop it.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<()> {
-        let r = crate::fault::fail_point("frame.write").and_then(|()| self.write_inner(bytes));
-        if r.is_err() {
-            // Free our pool slots right away — an errored writer must not
-            // pin the engine for other sessions.
-            self.pending.clear();
-            self.inflight.sync(0);
-        }
-        r
-    }
-
-    fn write_inner(&mut self, mut bytes: &[u8]) -> Result<()> {
+    /// On error the stream is unusable; drop it.
+    pub fn write(&mut self, mut bytes: &[u8]) -> Result<()> {
+        crate::fault::fail_point("frame.write")?;
         let total = self.desc.byte_len();
         if bytes.len() > total - self.consumed {
             return Err(Error::BadDescriptor(format!(
@@ -449,48 +436,14 @@ impl<W: Write> FrameWriter<W> {
     fn emit_block(&mut self, block: &[u8]) -> Result<()> {
         debug_assert!(!block.is_empty() && block.len() % self.esize == 0);
         self.bdesc.dims[0] = block.len() / self.esize;
-        match self.pool.clone() {
-            Some(pool) => {
-                // Per-stream cap: flush our own oldest records until we are
-                // back under it before taking another slot.
-                while self.pending.len() >= self.inflight_cap {
-                    self.flush_front()?;
-                }
-                // Saturation discipline: never block in submit while
-                // holding tickets — the drain closure flushes our own
-                // oldest record to free a slot instead.
-                let FrameWriter {
-                    pending,
-                    sink,
-                    written,
-                    codec,
-                    bdesc,
-                    inflight,
-                    ..
-                } = self;
-                let ticket = pool.submit_compress_draining(codec, bdesc, block, || {
-                    flush_oldest(pending, sink, written)
-                })?;
-                pending.push_back(ticket);
-                inflight.sync(pending.len());
-                Ok(())
-            }
-            None => {
-                self.scratch.refill_from_slice(&self.bdesc, block)?;
-                let n = self.codec.compress_into(&self.scratch, &mut self.payload)?;
-                self.sink.write_all(&(n as u64).to_le_bytes())?;
-                self.sink.write_all(&self.payload[..n])?;
-                self.written += 8 + n as u64;
-                Ok(())
-            }
+        let (sink, written) = (&mut self.sink, &mut self.written);
+        if let Some(lane) = &mut self.lane {
+            return lane
+                .submit_compress(&self.bdesc, block, (), |(), p| put_block(sink, written, p));
         }
-    }
-
-    /// Collect the oldest in-flight block and write its record.
-    fn flush_front(&mut self) -> Result<()> {
-        flush_oldest(&mut self.pending, &mut self.sink, &mut self.written)?;
-        self.inflight.sync(self.pending.len());
-        Ok(())
+        self.scratch.refill_from_slice(&self.bdesc, block)?;
+        let n = self.codec.compress_into(&self.scratch, &mut self.payload)?;
+        put_block(sink, written, &self.payload[..n])
     }
 
     /// Emit records for in-flight blocks that have already finished
@@ -500,19 +453,14 @@ impl<W: Write> FrameWriter<W> {
     /// wait, so completed jobs release their pool slots to other streams
     /// instead of staying pinned until the next `write`.
     ///
-    /// On error the writer abandons its in-flight jobs and is unusable,
-    /// like [`write`](Self::write).
+    /// On error the stream is unusable, like after a failed
+    /// [`write`](Self::write).
     pub fn flush_ready(&mut self) -> Result<usize> {
-        let mut flushed = 0usize;
-        while self.pending.front().is_some_and(Ticket::is_finished) {
-            if let Err(e) = self.flush_front() {
-                self.pending.clear();
-                self.inflight.sync(0);
-                return Err(e);
-            }
-            flushed += 1;
+        let (sink, written) = (&mut self.sink, &mut self.written);
+        match &mut self.lane {
+            Some(lane) => lane.flush_ready(|(), p| put_block(sink, written, p)),
+            None => Ok(0),
         }
-        Ok(flushed)
     }
 
     /// Emit the tail block, drain the pool, flush the sink, and return it.
@@ -531,31 +479,13 @@ impl<W: Write> FrameWriter<W> {
             let tail = std::mem::take(&mut self.buf);
             self.emit_block(&tail)?;
         }
-        while !self.pending.is_empty() {
-            self.flush_front()?;
+        let (sink, written) = (&mut self.sink, &mut self.written);
+        if let Some(lane) = &mut self.lane {
+            lane.finish(|(), p| put_block(sink, written, p))?;
         }
         self.sink.flush()?;
         Ok(self.sink)
     }
-}
-
-/// Collect a writer's oldest in-flight block and emit its record to the
-/// sink; `false` when nothing is in flight.
-fn flush_oldest<W: Write>(
-    pending: &mut VecDeque<Ticket>,
-    sink: &mut W,
-    written: &mut u64,
-) -> Result<bool> {
-    let Some(ticket) = pending.pop_front() else {
-        return Ok(false);
-    };
-    let n = ticket.collect(|payload| -> std::io::Result<usize> {
-        sink.write_all(&(payload.len() as u64).to_le_bytes())?;
-        sink.write_all(payload)?;
-        Ok(payload.len())
-    })??;
-    *written += 8 + n as u64;
-    Ok(true)
 }
 
 /// Which reader-owned buffer holds the block [`FrameReader::advance`] just
@@ -571,7 +501,8 @@ enum BlockHome {
 pub struct FrameReader<R: Read> {
     src: R,
     codec: Arc<dyn Compressor>,
-    pool: Option<Arc<WorkerPool>>,
+    /// Read-ahead pool jobs (`None`: decode inline).
+    lane: Option<BlockLane<Arc<WorkerPool>>>,
     desc: DataDesc,
     block_elems: usize,
     nblocks: usize,
@@ -585,10 +516,6 @@ pub struct FrameReader<R: Read> {
     /// Sticky failure: once a block errors, later reads refuse instead of
     /// yielding blocks out of order.
     failed: bool,
-    pending: VecDeque<Ticket>,
-    /// Upper bound on read-ahead jobs in flight (shared-pool fairness; see
-    /// [`FrameWriter::max_in_flight`]).
-    inflight_cap: usize,
     bdesc: DataDesc,
     /// Reusable compressed-record buffer.
     payload: Vec<u8>,
@@ -596,12 +523,48 @@ pub struct FrameReader<R: Read> {
     current: Vec<u8>,
     /// Inline mode: the reusable decode target.
     scratch: FloatData,
-    /// This reader's share of the pool-wide
-    /// `stream.reader.blocks_in_flight` gauge (no-op without a pool).
-    inflight: InflightGauge,
-    /// `stream.reader.read_ahead.stalls` — times the caller had to wait on
-    /// a block the read-ahead had not finished decoding.
-    stalls: Option<Counter>,
+}
+
+/// Element count of block `i` of a stream shaped like `desc`.
+fn block_len(desc: &DataDesc, block_elems: usize, i: usize) -> usize {
+    let total = desc.elements();
+    let start = i.saturating_mul(block_elems).min(total);
+    block_elems.min(total - start)
+}
+
+/// Read the next block record of `src` into `payload`, rejecting lengths
+/// implausible for a block of `raw` element bytes before allocating.
+fn read_record<R: Read>(src: &mut R, payload: &mut Vec<u8>, raw: usize) -> Result<()> {
+    let mut be = [0u8; 8];
+    src.read_exact(&mut be)?;
+    let len = u64::from_le_bytes(be);
+    let cap = raw
+        .saturating_mul(MAX_RECORD_EXPANSION)
+        .saturating_add(RECORD_SLACK);
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&l| l <= cap)
+        .ok_or_else(|| {
+            Error::Corrupt(format!(
+                "block record claims {len} payload bytes for a {raw}-byte block"
+            ))
+        })?;
+    // Grow the buffer as payload bytes actually arrive (1 MiB steps)
+    // rather than reserving the full claim up front: a hostile record
+    // that declares hundreds of megabytes but delivers nothing must
+    // fail at EOF having committed one step, not the whole claim.
+    // Memory tracks delivered bytes, the same discipline as bounded
+    // length-prefixed reads elsewhere.
+    const STEP: usize = 1 << 20;
+    payload.clear();
+    let mut filled = 0usize;
+    while filled < len {
+        let step = STEP.min(len - filled);
+        payload.resize(filled + step, 0);
+        src.read_exact(&mut payload[filled..])?;
+        filled += step;
+    }
+    Ok(())
 }
 
 impl<R: Read> FrameReader<R> {
@@ -627,31 +590,29 @@ impl<R: Read> FrameReader<R> {
             dims: vec![0],
             domain: desc.domain,
         };
-        let inflight = pool.as_ref().map_or_else(InflightGauge::detached, |p| {
-            InflightGauge::attached(p.telemetry().gauge("stream.reader.blocks_in_flight"))
+        let lane = pool.map(|p| {
+            let reg = p.telemetry();
+            let gauge = reg.gauge("stream.reader.blocks_in_flight");
+            let stalls = reg.counter("stream.reader.read_ahead.stalls");
+            BlockLane::new(p, Arc::clone(&codec))
+                .in_flight_gauge(gauge)
+                .stall_counter(stalls)
         });
-        let stalls = pool
-            .as_ref()
-            .map(|p| p.telemetry().counter("stream.reader.read_ahead.stalls"));
         Ok(FrameReader {
             src,
             codec,
-            pool,
+            lane,
             block_elems,
             nblocks,
             submitted: 0,
             record_ready: false,
             collected: 0,
             failed: false,
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
             bdesc,
             payload: Vec::new(),
             current: Vec::new(),
             scratch: FloatData::scratch(),
             desc,
-            inflight,
-            stalls,
         })
     }
 
@@ -660,7 +621,7 @@ impl<R: Read> FrameReader<R> {
     /// [`FrameWriter::max_in_flight`]. Inline readers (no pool) ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.lane = self.lane.map(|lane| lane.max_in_flight(cap));
         self
     }
 
@@ -684,51 +645,6 @@ impl<R: Read> FrameReader<R> {
         self.nblocks - self.collected
     }
 
-    /// Element count of block `i`.
-    fn block_len(&self, i: usize) -> usize {
-        let total = self.desc.elements();
-        let start = i.saturating_mul(self.block_elems).min(total);
-        self.block_elems.min(total - start)
-    }
-
-    /// Read the next block record into `self.payload`, rejecting
-    /// implausibly long declared lengths before allocating for them.
-    fn read_record(&mut self, block_idx: usize) -> Result<()> {
-        let mut be = [0u8; 8];
-        self.src.read_exact(&mut be)?;
-        let len = u64::from_le_bytes(be);
-        let raw = self
-            .block_len(block_idx)
-            .saturating_mul(self.desc.precision.bytes());
-        let cap = raw
-            .saturating_mul(MAX_RECORD_EXPANSION)
-            .saturating_add(RECORD_SLACK);
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l <= cap)
-            .ok_or_else(|| {
-                Error::Corrupt(format!(
-                    "block record claims {len} payload bytes for a {raw}-byte block"
-                ))
-            })?;
-        // Grow the buffer as payload bytes actually arrive (1 MiB steps)
-        // rather than reserving the full claim up front: a hostile record
-        // that declares hundreds of megabytes but delivers nothing must
-        // fail at EOF having committed one step, not the whole claim.
-        // Memory tracks delivered bytes, the same discipline as bounded
-        // length-prefixed reads elsewhere.
-        const STEP: usize = 1 << 20;
-        self.payload.clear();
-        let mut filled = 0usize;
-        while filled < len {
-            let step = STEP.min(len - filled);
-            self.payload.resize(filled + step, 0);
-            self.src.read_exact(&mut self.payload[filled..])?;
-            filled += step;
-        }
-        Ok(())
-    }
-
     /// Decode and return the next block's element bytes in stream order, or
     /// `None` after the final block. The returned slice lives until the
     /// next call.
@@ -743,12 +659,9 @@ impl<R: Read> FrameReader<R> {
             Ok(Some(BlockHome::Scratch)) => Ok(Some(self.scratch.bytes())),
             Ok(Some(BlockHome::Current)) => Ok(Some(&self.current)),
             Err(e) => {
-                // Fail sticky: abandon the read-ahead (recycling its pool
-                // slots) and refuse further reads instead of yielding
-                // blocks out of order — or panicking on a drained queue.
+                // Fail sticky: refuse further reads instead of yielding
+                // blocks out of order.
                 self.failed = true;
-                self.pending.clear();
-                self.inflight.sync(0);
                 Err(e)
             }
         }
@@ -762,69 +675,61 @@ impl<R: Read> FrameReader<R> {
         if self.collected == self.nblocks {
             return Ok(None);
         }
-        match self.pool.clone() {
-            None => {
-                self.read_record(self.collected)?;
-                self.bdesc.dims[0] = self.block_len(self.collected);
-                crate::blocks::check_decode_claim(&self.bdesc, self.payload.len())?;
-                self.codec
-                    .decompress_into(&self.payload, &self.bdesc, &mut self.scratch)?;
-                if self.scratch.bytes().len() != self.bdesc.byte_len() {
-                    return Err(Error::Corrupt("block decoded to a wrong size".into()));
-                }
-                self.collected += 1;
-                Ok(Some(BlockHome::Scratch))
+        let FrameReader {
+            src,
+            desc,
+            block_elems,
+            nblocks,
+            submitted,
+            record_ready,
+            bdesc,
+            payload,
+            current,
+            ..
+        } = self;
+        let esize = desc.precision.bytes();
+        let Some(lane) = &mut self.lane else {
+            bdesc.dims[0] = block_len(desc, *block_elems, self.collected);
+            read_record(src, payload, bdesc.dims[0].saturating_mul(esize))?;
+            crate::blocks::check_decode_claim(bdesc, payload.len())?;
+            self.codec
+                .decompress_into(payload, bdesc, &mut self.scratch)?;
+            if self.scratch.bytes().len() != bdesc.byte_len() {
+                return Err(Error::Corrupt("block decoded to a wrong size".into()));
             }
-            Some(pool) => {
-                // Keep the read-ahead window full, bounded by the queue.
-                // Saturation discipline: with jobs of our own in flight we
-                // never block in submit — a saturated pool just ends the
-                // top-up (collecting our front below frees a slot), and a
-                // record already read off `src` waits in `payload` for the
-                // next call.
-                let window = pool.queue_depth().min(self.inflight_cap);
-                while self.submitted < self.nblocks && self.pending.len() < window {
-                    let i = self.submitted;
-                    if !self.record_ready {
-                        self.read_record(i)?;
-                        self.record_ready = true;
-                    }
-                    self.bdesc.dims[0] = self.block_len(i);
-                    let ticket = match pool.try_submit_decompress(
-                        &self.codec,
-                        &self.bdesc,
-                        &self.payload,
-                    )? {
-                        Some(t) => t,
-                        None if self.pending.is_empty() => {
-                            pool.submit_decompress(&self.codec, &self.bdesc, &self.payload)?
-                        }
-                        None => break,
-                    };
-                    self.pending.push_back(ticket);
-                    self.submitted += 1;
-                    self.record_ready = false;
+            self.collected += 1;
+            return Ok(Some(BlockHome::Scratch));
+        };
+        // Read-ahead: records read off `src` become decode jobs until the
+        // window is full; a record the saturated pool refused waits in
+        // `payload` for the next call.
+        let got = lane.next(
+            |lane| {
+                if *submitted == *nblocks {
+                    return Ok(false);
                 }
-                self.inflight.sync(self.pending.len());
-                let ticket = self
-                    .pending
-                    .pop_front()
-                    .ok_or_else(|| Error::Corrupt("stream reader lost its read-ahead".into()))?;
-                if !ticket.is_finished() {
-                    if let Some(stalls) = self.stalls.as_ref() {
-                        stalls.inc();
-                    }
+                bdesc.dims[0] = block_len(desc, *block_elems, *submitted);
+                if !*record_ready {
+                    read_record(src, payload, bdesc.dims[0].saturating_mul(esize))?;
+                    *record_ready = true;
                 }
-                let current = &mut self.current;
-                ticket.collect(|decoded| {
-                    current.clear();
-                    current.extend_from_slice(decoded);
-                })?;
-                self.inflight.sync(self.pending.len());
-                self.collected += 1;
-                Ok(Some(BlockHome::Current))
-            }
+                if !lane.offer_decompress(bdesc, payload, ())? {
+                    return Ok(false);
+                }
+                *submitted += 1;
+                *record_ready = false;
+                Ok(true)
+            },
+            |(), decoded| {
+                current.clear();
+                current.extend_from_slice(decoded);
+            },
+        )?;
+        if got.is_none() {
+            return Ok(None);
         }
+        self.collected += 1;
+        Ok(Some(BlockHome::Current))
     }
 
     /// Decode every remaining block into `out` (for a fresh reader: the

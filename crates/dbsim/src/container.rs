@@ -47,14 +47,13 @@
 //! directory referencing it is valid) is an error, not a recovery —
 //! recovery is for torn tails only.
 
-use fcbench_core::pool::{Ticket, WorkerPool};
+use fcbench_core::pool::{BlockLane, WorkerPool};
 use fcbench_core::stream::{
     check_record, crc32, put_record, take_record, RecordCheck, RECORD_OVERHEAD,
 };
 use fcbench_core::wire;
 use fcbench_core::{Compressor, DataDesc, Domain, Error, FloatData, Precision, Result};
-use fcbench_telemetry::{Counter, Histogram, InflightGauge};
-use std::collections::VecDeque;
+use fcbench_telemetry::{Counter, Histogram};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -100,11 +99,11 @@ pub enum ChunkExec<'a> {
     Pooled(&'a WorkerPool, &'a Arc<dyn Compressor>),
 }
 
-impl ChunkExec<'_> {
-    fn name(&self) -> &'static str {
+impl<'a> ChunkExec<'a> {
+    fn codec(self) -> &'a dyn Compressor {
         match self {
-            ChunkExec::Inline(c) => c.info().name,
-            ChunkExec::Pooled(_, c) => c.info().name,
+            ChunkExec::Inline(c) => c,
+            ChunkExec::Pooled(_, c) => c.as_ref(),
         }
     }
 }
@@ -237,44 +236,64 @@ fn encode_directory(columns: &[ColumnMeta]) -> Vec<u8> {
     dir
 }
 
-/// A pooled compression job whose chunk record has not been emitted yet.
-struct PendingChunk {
-    ticket: Ticket,
-    elems: u32,
+/// What a [`ContainerWriter`] has emitted: the sink, and the directory of
+/// the records in it.
+struct RecordLog<W> {
+    sink: W,
+    /// Bytes emitted to the sink so far.
+    written: u64,
+    /// Records emitted since the last commit (COLUMN and CHUNK alike).
+    uncommitted: u64,
+    /// Directory metadata of every column so far (commits are cumulative).
+    columns: Vec<ColumnMeta>,
+}
+
+impl<W: Write> RecordLog<W> {
+    /// Emit one framed record, counted as uncommitted.
+    fn put(&mut self, tag: u8, parts: &[&[u8]]) -> Result<()> {
+        self.written += put_record(&mut self.sink, tag, parts)?;
+        self.uncommitted += 1;
+        Ok(())
+    }
+
+    /// Emit the CHUNK record of `elems` elements compressed to `payload`,
+    /// and log it in the open column's directory entry.
+    fn put_chunk(&mut self, elems: u32, payload: &[u8]) -> Result<()> {
+        let offset = self.written;
+        self.put(TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
+        let col = open_column_mut(&mut self.columns)?;
+        col.chunks.push(ChunkMeta {
+            offset,
+            payload_len: payload.len() as u64,
+            elems,
+        });
+        col.rows += u64::from(elems);
+        Ok(())
+    }
 }
 
 /// Streaming `FCDB2` encoder: columns are declared with
 /// [`begin_column`](Self::begin_column), fed element bytes in
 /// arbitrary-sized chunks with [`write`](Self::write), and made durable
 /// with [`commit`](Self::commit). Full chunks are compressed (fanned out
-/// on the engine in `Pooled` mode with `FrameWriter`-style bounded
-/// in-flight submission) and their records emitted as they form, so the
-/// writer's footprint is bounded by the in-flight window — never by the
-/// container size.
+/// on the engine in `Pooled` mode through a [`BlockLane`]) and their
+/// records emitted as they form, so the writer's footprint is bounded by
+/// the in-flight window — never by the container size.
 ///
-/// On any error the writer abandons its in-flight jobs (releasing their
-/// pool slots immediately) and is unusable; drop it. The file then ends in
-/// a torn tail that [`read_container`] recovers past.
+/// On any error the writer is unusable; drop it. The file then ends in a
+/// torn tail that [`read_container`] recovers past.
 pub struct ContainerWriter<'a, W: Write> {
-    sink: W,
+    log: RecordLog<W>,
     exec: ChunkExec<'a>,
-    /// Bytes emitted to the sink so far (more may still be in flight).
-    written: u64,
-    /// Records emitted since the last commit (COLUMN and CHUNK alike).
-    uncommitted: u64,
+    /// `Pooled` mode's in-flight chunk jobs, tagged with their element
+    /// counts (never spanning columns).
+    lane: Option<BlockLane<&'a WorkerPool, u32>>,
     /// Commits emitted so far.
     commits: u64,
-    /// Directory metadata of every column so far (commits are cumulative).
-    columns: Vec<ColumnMeta>,
-    /// Whether the last of `columns` is still accepting bytes.
+    /// Whether the last of `log.columns` is still accepting bytes.
     open: bool,
     /// Partial-chunk accumulator for the open column.
     buf: Vec<u8>,
-    /// In-flight pool jobs, in chunk order (never spanning columns).
-    pending: VecDeque<PendingChunk>,
-    /// Upper bound on `pending.len()` (shared-pool fairness; see
-    /// [`FrameWriter::max_in_flight`](fcbench_core::stream::FrameWriter::max_in_flight)).
-    inflight_cap: usize,
     /// Reusable per-chunk descriptor.
     bdesc: DataDesc,
     /// Inline-mode scratch input container.
@@ -294,19 +313,23 @@ pub struct ContainerWriter<'a, W: Write> {
 impl<'a, W: Write> ContainerWriter<'a, W> {
     /// Start a container on `sink`; the prologue is written immediately.
     pub fn new(mut sink: W, exec: ChunkExec<'a>) -> Result<Self> {
-        let written = write_prologue(&mut sink, exec.name())?;
+        let written = write_prologue(&mut sink, exec.codec().info().name)?;
         let reg = crate::metrics::registry();
         Ok(ContainerWriter {
-            sink,
+            log: RecordLog {
+                sink,
+                written,
+                uncommitted: 0,
+                columns: Vec::new(),
+            },
             exec,
-            written,
-            uncommitted: 0,
+            lane: match exec {
+                ChunkExec::Pooled(pool, codec) => Some(BlockLane::new(pool, Arc::clone(codec))),
+                ChunkExec::Inline(_) => None,
+            },
             commits: 0,
-            columns: Vec::new(),
             open: false,
             buf: Vec::new(),
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
             bdesc: DataDesc::new(Precision::Double, vec![1], Domain::Database)?,
             scratch: FloatData::scratch(),
             payload: Vec::new(),
@@ -320,19 +343,19 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// pool at once (clamped to at least 1). Inline writers ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.lane = self.lane.map(|lane| lane.max_in_flight(cap));
         self
     }
 
     /// Bytes emitted to the sink so far.
     pub fn bytes_written(&self) -> u64 {
-        self.written
+        self.log.written
     }
 
     /// Records emitted since the last commit — what a crash right now
     /// would lose.
     pub fn uncommitted_records(&self) -> u64 {
-        self.uncommitted
+        self.log.uncommitted
     }
 
     /// Open a new column (closing the previous one, if any): `chunk_elems`
@@ -343,19 +366,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         precision: Precision,
         chunk_elems: usize,
     ) -> Result<()> {
-        let r = self.begin_column_inner(name.into(), precision, chunk_elems);
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
-    }
-
-    fn begin_column_inner(
-        &mut self,
-        name: String,
-        precision: Precision,
-        chunk_elems: usize,
-    ) -> Result<()> {
+        let name = name.into();
         if name.len() > 255 {
             return Err(Error::NameTooLong { len: name.len() });
         }
@@ -364,19 +375,14 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
                 "chunk size {chunk_elems} is outside 1..=u32::MAX elements"
             )));
         }
-        self.end_column_inner()?;
+        self.end_column()?;
         let nlen = [name.len() as u8];
         let prec = [precision_byte(precision)];
         let ce = (chunk_elems as u32).to_le_bytes();
-        let rec = put_record(
-            &mut self.sink,
-            TAG_COLUMN,
-            &[&nlen, name.as_bytes(), &prec, &ce],
-        )?;
-        self.written += rec;
-        self.uncommitted += 1;
+        self.log
+            .put(TAG_COLUMN, &[&nlen, name.as_bytes(), &prec, &ce])?;
         self.bdesc.precision = precision;
-        self.columns.push(ColumnMeta {
+        self.log.columns.push(ColumnMeta {
             name,
             precision,
             chunk_elems: chunk_elems as u32,
@@ -391,21 +397,13 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// column. Chunks may be any size (they need not align with pages or
     /// even elements); full pages are compressed and their records emitted
     /// as they form.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<()> {
-        let r = self.write_inner(bytes);
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
-    }
-
-    fn write_inner(&mut self, mut bytes: &[u8]) -> Result<()> {
+    pub fn write(&mut self, mut bytes: &[u8]) -> Result<()> {
         if !self.open {
             return Err(Error::Unsupported(
                 "container writer has no open column (call begin_column first)".into(),
             ));
         }
-        let col = open_column(&self.columns)?;
+        let col = open_column(&self.log.columns)?;
         let cbytes = (col.chunk_elems as usize).saturating_mul(col.precision.bytes());
         while !bytes.is_empty() {
             // Whole pages straight from the caller's chunk, no copy into
@@ -434,112 +432,33 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// Compress one page (full, or the short tail) and emit / enqueue its
     /// chunk record.
     fn emit_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        let esize = open_column(&self.columns)?.precision.bytes();
+        let esize = open_column(&self.log.columns)?.precision.bytes();
         debug_assert!(!chunk.is_empty() && chunk.len() % esize == 0);
         let elems = (chunk.len() / esize) as u32;
         self.bdesc.dims[0] = chunk.len() / esize;
-        match self.exec {
-            ChunkExec::Inline(codec) => {
-                self.scratch.refill_from_slice(&self.bdesc, chunk)?;
-                let n = codec.compress_into(&self.scratch, &mut self.payload)?;
-                let offset = self.written;
-                let rec = put_record(
-                    &mut self.sink,
-                    TAG_CHUNK,
-                    &[&elems.to_le_bytes(), &self.payload[..n]],
-                )?;
-                let col = open_column_mut(&mut self.columns)?;
-                col.chunks.push(ChunkMeta {
-                    offset,
-                    payload_len: n as u64,
-                    elems,
-                });
-                col.rows += elems as u64;
-                self.written += rec;
-                self.uncommitted += 1;
-                Ok(())
-            }
-            ChunkExec::Pooled(pool, codec) => {
-                // Per-writer cap: collect our own oldest chunks until we
-                // are back under it before taking another slot.
-                while self.pending.len() >= self.inflight_cap {
-                    let ContainerWriter {
-                        pending,
-                        sink,
-                        written,
-                        uncommitted,
-                        columns,
-                        ..
-                    } = self;
-                    Self::collect_oldest(pending, sink, written, uncommitted, columns)?;
-                }
-                // Saturation discipline: never block in submit while
-                // holding tickets — the drain closure collects our own
-                // oldest chunk to free a slot instead.
-                let ContainerWriter {
-                    pending,
-                    sink,
-                    written,
-                    uncommitted,
-                    columns,
-                    bdesc,
-                    ..
-                } = self;
-                let ticket = pool.submit_compress_draining(codec, bdesc, chunk, || {
-                    Self::collect_oldest(pending, sink, written, uncommitted, columns)
-                })?;
-                pending.push_back(PendingChunk { ticket, elems });
-                Ok(())
-            }
+        let log = &mut self.log;
+        if let Some(lane) = &mut self.lane {
+            return lane.submit_compress(&self.bdesc, chunk, elems, |elems, p| {
+                log.put_chunk(elems, p)
+            });
         }
-    }
-
-    /// Collect the oldest in-flight chunk, emit its record, and log its
-    /// directory metadata; `false` when nothing is in flight.
-    fn collect_oldest(
-        pending: &mut VecDeque<PendingChunk>,
-        sink: &mut W,
-        written: &mut u64,
-        uncommitted: &mut u64,
-        columns: &mut [ColumnMeta],
-    ) -> Result<bool> {
-        let Some(PendingChunk { ticket, elems }) = pending.pop_front() else {
-            return Ok(false);
-        };
-        let offset = *written;
-        let (payload_len, rec_len) = ticket.collect(|payload| -> Result<(u64, u64)> {
-            let n = put_record(sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
-            Ok((payload.len() as u64, n))
-        })??;
-        let col = open_column_mut(columns)?;
-        col.chunks.push(ChunkMeta {
-            offset,
-            payload_len,
-            elems,
-        });
-        col.rows += elems as u64;
-        *written += rec_len;
-        *uncommitted += 1;
-        Ok(true)
+        self.scratch.refill_from_slice(&self.bdesc, chunk)?;
+        let n = self
+            .exec
+            .codec()
+            .compress_into(&self.scratch, &mut self.payload)?;
+        log.put_chunk(elems, &self.payload[..n])
     }
 
     /// Close the open column: emit the short tail page (if any) and drain
     /// the in-flight window so the column's directory metadata is complete.
     /// A no-op when no column is open.
     pub fn end_column(&mut self) -> Result<()> {
-        let r = self.end_column_inner();
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
-    }
-
-    fn end_column_inner(&mut self) -> Result<()> {
         if !self.open {
             return Ok(());
         }
         if !self.buf.is_empty() {
-            let esize = open_column(&self.columns)?.precision.bytes();
+            let esize = open_column(&self.log.columns)?.precision.bytes();
             if self.buf.len() % esize != 0 {
                 return Err(Error::BadDescriptor(format!(
                     "column ended mid-element: {} trailing bytes with {esize}-byte elements",
@@ -552,18 +471,9 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
             self.buf.clear();
             r?;
         }
-        loop {
-            let ContainerWriter {
-                pending,
-                sink,
-                written,
-                uncommitted,
-                columns,
-                ..
-            } = self;
-            if !Self::collect_oldest(pending, sink, written, uncommitted, columns)? {
-                break;
-            }
+        if let Some(lane) = &mut self.lane {
+            let log = &mut self.log;
+            lane.finish(|elems, p| log.put_chunk(elems, p))?;
         }
         self.open = false;
         Ok(())
@@ -574,28 +484,20 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// and flush the sink. A reader recovering a torn file resumes from
     /// the newest commit point it can validate.
     pub fn commit(&mut self) -> Result<()> {
-        let r = self.commit_inner();
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
-    }
-
-    fn commit_inner(&mut self) -> Result<()> {
         fcbench_core::fault::fail_point("container.commit")?;
         let _span = self.m_commit.start_span();
-        self.end_column_inner()?;
-        let dir = encode_directory(&self.columns);
-        let commit_offset = self.written;
-        let rec = put_record(&mut self.sink, TAG_COMMIT, &[&dir])?;
-        self.written += rec;
-        self.sink.write_all(&locator(commit_offset))?;
-        self.written += LOCATOR_BYTES as u64;
-        self.m_records.add(self.uncommitted);
+        self.end_column()?;
+        let dir = encode_directory(&self.log.columns);
+        let log = &mut self.log;
+        let commit_offset = log.written;
+        log.written += put_record(&mut log.sink, TAG_COMMIT, &[&dir])?;
+        log.sink.write_all(&locator(commit_offset))?;
+        log.written += LOCATOR_BYTES as u64;
+        self.m_records.add(log.uncommitted);
         self.m_commits.inc();
-        self.uncommitted = 0;
+        log.uncommitted = 0;
         self.commits += 1;
-        self.sink.flush()?;
+        log.sink.flush()?;
         Ok(())
     }
 
@@ -603,14 +505,10 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// that never committed gets its first commit here, so every finished
     /// container has at least one commit point — even an empty one.)
     pub fn finish(mut self) -> Result<W> {
-        if self.uncommitted > 0 || self.commits == 0 {
-            let r = self.commit_inner();
-            if let Err(e) = r {
-                self.pending.clear();
-                return Err(e);
-            }
+        if self.log.uncommitted > 0 || self.commits == 0 {
+            self.commit()?;
         }
-        Ok(self.sink)
+        Ok(self.log.sink)
     }
 }
 
@@ -1030,20 +928,18 @@ impl CompressedColumn {
         codec: &Arc<dyn Compressor>,
     ) -> Result<ColumnCursor<'a>> {
         let reg = crate::metrics::registry();
+        let lane = BlockLane::new(pool, Arc::clone(codec))
+            .in_flight_gauge(reg.gauge("dbsim.cursor.chunks_in_flight"))
+            .stall_counter(reg.counter("dbsim.cursor.read_ahead.stalls"));
         Ok(ColumnCursor {
             col: self,
-            pool,
-            codec: Arc::clone(codec),
+            lane,
             bdesc: DataDesc::new(self.precision, vec![1], Domain::Database)?,
             submitted: 0,
             collected: 0,
             remaining_submit: self.rows,
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
             current: Vec::new(),
             failed: false,
-            stalls: reg.counter("dbsim.cursor.read_ahead.stalls"),
-            inflight: InflightGauge::attached(reg.gauge("dbsim.cursor.chunks_in_flight")),
         })
     }
 
@@ -1079,15 +975,15 @@ impl CompressedColumn {
 }
 
 /// An independent pooled decode cursor over one [`CompressedColumn`]: a
-/// bounded read-ahead of chunks is kept in flight on the shared engine and
-/// decoded pages come back in column order. Cursors follow the engine's
-/// saturation discipline (never block in submit while holding tickets), so
-/// any number of concurrent readers — the paper's database serving many
+/// bounded read-ahead of chunks is kept in flight on the shared engine
+/// through a [`BlockLane`], and decoded pages come back in column order.
+/// Any number of concurrent cursors — the paper's database serving many
 /// scans at once — can share one pool without deadlocking it.
 pub struct ColumnCursor<'a> {
     col: &'a CompressedColumn,
-    pool: &'a WorkerPool,
-    codec: Arc<dyn Compressor>,
+    /// Read-ahead jobs; reports `dbsim.cursor.chunks_in_flight` and
+    /// `dbsim.cursor.read_ahead.stalls`.
+    lane: BlockLane<&'a WorkerPool>,
     bdesc: DataDesc,
     /// Chunks submitted to the engine.
     submitted: usize,
@@ -1095,20 +991,11 @@ pub struct ColumnCursor<'a> {
     collected: usize,
     /// Rows not yet covered by submitted chunks.
     remaining_submit: usize,
-    pending: VecDeque<Ticket>,
-    /// Upper bound on read-ahead jobs in flight (shared-pool fairness).
-    inflight_cap: usize,
     /// The most recently collected decoded page.
     current: Vec<u8>,
     /// Sticky failure: once a chunk errors, later reads refuse instead of
     /// yielding pages out of order.
     failed: bool,
-    /// Times the caller had to wait on a decode that hadn't finished
-    /// (`dbsim.cursor.read_ahead.stalls`) — read-ahead not keeping up.
-    stalls: Counter,
-    /// This cursor's contribution to `dbsim.cursor.chunks_in_flight`;
-    /// released on drop even if the cursor is abandoned mid-column.
-    inflight: InflightGauge,
 }
 
 impl ColumnCursor<'_> {
@@ -1116,7 +1003,7 @@ impl ColumnCursor<'_> {
     /// (clamped to at least 1).
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.lane = self.lane.max_in_flight(cap);
         self
     }
 
@@ -1134,67 +1021,51 @@ impl ColumnCursor<'_> {
                 "column cursor is in a failed state (an earlier chunk errored)".into(),
             ));
         }
-        match self.advance() {
-            Ok(false) => Ok(None),
-            Ok(true) => Ok(Some(&self.current)),
+        let ColumnCursor {
+            col,
+            lane,
+            bdesc,
+            submitted,
+            remaining_submit,
+            current,
+            ..
+        } = self;
+        let got = lane.next(
+            |lane| {
+                let Some(payload) = col.chunks.get(*submitted) else {
+                    return match *remaining_submit {
+                        0 => Ok(false),
+                        _ => Err(Error::Corrupt("chunks do not cover all rows".into())),
+                    };
+                };
+                let elems = (*remaining_submit).min(col.chunk_elems);
+                if elems == 0 {
+                    return Err(Error::Corrupt("more chunks than rows".into()));
+                }
+                bdesc.dims[0] = elems;
+                if !lane.offer_decompress(bdesc, payload, ())? {
+                    return Ok(false);
+                }
+                *submitted += 1;
+                *remaining_submit -= elems;
+                Ok(true)
+            },
+            |(), decoded| {
+                current.clear();
+                current.extend_from_slice(decoded);
+            },
+        );
+        match got {
+            Ok(None) => Ok(None),
+            Ok(Some(())) => {
+                self.collected += 1;
+                Ok(Some(&self.current))
+            }
             Err(e) => {
                 self.failed = true;
-                self.pending.clear();
-                self.inflight.sync(0);
                 Err(e)
             }
         }
-    }
-
-    fn advance(&mut self) -> Result<bool> {
-        if self.collected == self.col.chunks.len() {
-            return Ok(false);
-        }
-        // Keep the read-ahead window full, bounded by the queue. With jobs
-        // of our own in flight we never block in submit — a saturated pool
-        // just ends the top-up (collecting our front below frees a slot).
-        let window = self.pool.queue_depth().min(self.inflight_cap);
-        while self.submitted < self.col.chunks.len() && self.pending.len() < window {
-            let elems = self.remaining_submit.min(self.col.chunk_elems);
-            if elems == 0 {
-                return Err(Error::Corrupt("more chunks than rows".into()));
-            }
-            self.bdesc.dims[0] = elems;
-            let payload = &self.col.chunks[self.submitted];
-            let ticket = match self
-                .pool
-                .try_submit_decompress(&self.codec, &self.bdesc, payload)?
-            {
-                Some(t) => t,
-                None if self.pending.is_empty() => {
-                    self.pool
-                        .submit_decompress(&self.codec, &self.bdesc, payload)?
-                }
-                None => break,
-            };
-            self.pending.push_back(ticket);
-            self.submitted += 1;
-            self.remaining_submit -= elems;
-        }
-        self.inflight.sync(self.pending.len());
-        if self.submitted == self.col.chunks.len() && self.remaining_submit != 0 {
-            return Err(Error::Corrupt("chunks do not cover all rows".into()));
-        }
-        let ticket = self
-            .pending
-            .pop_front()
-            .ok_or_else(|| Error::Corrupt("column cursor lost its read-ahead".into()))?;
-        if !ticket.is_finished() {
-            self.stalls.inc();
-        }
-        let current = &mut self.current;
-        ticket.collect(|decoded| {
-            current.clear();
-            current.extend_from_slice(decoded);
-        })?;
-        self.collected += 1;
-        self.inflight.sync(self.pending.len());
-        Ok(true)
     }
 }
 
